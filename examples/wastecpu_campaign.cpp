@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     if (!args.getString("save-metatasks").empty()) {
       // Regenerate the campaign's metatasks with the same derivation rule so
       // they can be archived and replayed exactly.
-      const workload::MetataskConfig& base = s.variants.front().spec.metatask;
+      const workload::MetataskConfig& base = s.variants.front().spec.metataskConfig;
       for (std::size_t m = 0; m < s.campaign.metataskCount; ++m) {
         workload::MetataskConfig mc = base;
         mc.seed = simcore::deriveSeed(base.seed, 1000 + m);

@@ -25,7 +25,8 @@ struct PairOutcome {
 };
 }  // namespace
 
-CampaignResult runCampaign(const ExperimentSpec& spec, const CampaignConfig& config) {
+CampaignResult runCampaign(const scenario::CompiledScenario& spec,
+                           const CampaignConfig& config) {
   CASCHED_CHECK(!config.heuristics.empty(), "campaign needs heuristics");
   CASCHED_CHECK(config.metataskCount > 0 && config.replications > 0,
                 "campaign needs at least one metatask and one replication");
@@ -35,9 +36,9 @@ CampaignResult runCampaign(const ExperimentSpec& spec, const CampaignConfig& con
   std::vector<workload::Metatask> metatasks;
   metatasks.reserve(config.metataskCount);
   for (std::size_t m = 0; m < config.metataskCount; ++m) {
-    workload::MetataskConfig mc = spec.metatask;
-    mc.seed = simcore::deriveSeed(spec.metatask.seed, 1000 + m);
-    mc.name = spec.metatask.name + "-M" + std::to_string(m + 1);
+    workload::MetataskConfig mc = spec.metataskConfig;
+    mc.seed = simcore::deriveSeed(spec.metataskConfig.seed, 1000 + m);
+    mc.name = spec.metataskConfig.name + "-M" + std::to_string(m + 1);
     metatasks.push_back(workload::generateMetatask(mc));
   }
 

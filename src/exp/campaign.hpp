@@ -70,7 +70,8 @@ struct CampaignResult {
 /// Runs the campaign. (metatask, replication) pairs execute in parallel;
 /// all heuristics of one pair run sequentially inside the job so the
 /// baseline comparison never crosses threads.
-CampaignResult runCampaign(const ExperimentSpec& spec, const CampaignConfig& config);
+CampaignResult runCampaign(const scenario::CompiledScenario& spec,
+                           const CampaignConfig& config);
 
 /// Raw per-run CSV of a campaign (one row per heuristic x metatask x
 /// replication) for archival/plotting.

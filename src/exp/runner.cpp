@@ -1,31 +1,9 @@
 #include "exp/runner.hpp"
 
-#include "scenario/generate.hpp"
-#include "scenario/registry.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace casched::exp {
-
-ExperimentSpec specFromScenarioSpec(const scenario::ScenarioSpec& scenarioSpec,
-                                    std::uint64_t seed) {
-  const scenario::CompiledScenario compiled =
-      scenario::compileScenario(scenarioSpec, seed);
-  ExperimentSpec spec;
-  spec.name = compiled.name;
-  spec.scenario = scenarioSpec.name;
-  spec.testbed = compiled.testbed;
-  spec.metatask = compiled.metataskConfig;
-  spec.system = compiled.system;
-  spec.churn = compiled.churn;
-  spec.generatedChurn = compiled.generatedChurn;
-  spec.faultDomains = compiled.faultDomains;
-  return spec;
-}
-
-ExperimentSpec specFromScenario(const std::string& scenarioName, std::uint64_t seed) {
-  return specFromScenarioSpec(scenario::findScenario(scenarioName), seed);
-}
 
 FaultTolerancePolicy parseFaultTolerancePolicy(const std::string& name) {
   const std::string n = util::toLower(name);
@@ -63,14 +41,15 @@ bool resolveFaultTolerance(FaultTolerancePolicy policy, const std::string& heuri
   return grantsFaultTolerance(policy, heuristic);
 }
 
-metrics::RunResult runOne(const ExperimentSpec& spec, const workload::Metatask& metatask,
+metrics::RunResult runOne(const scenario::CompiledScenario& spec,
+                          const workload::Metatask& metatask,
                           const std::string& heuristic, bool faultTolerance,
                           std::uint64_t noiseSeed) {
   cas::SystemConfig config = spec.system;
   config.faultTolerance = faultTolerance;
   config.noiseSeed = noiseSeed;
-  return cas::runExperimentSystem(spec.testbed, metatask, heuristic, config,
-                                  spec.churn);
+  return cas::runExperimentSystem(spec.testbed, metatask, heuristic, config, spec.churn,
+                                  spec.mesh, spec.agents.count);
 }
 
 }  // namespace casched::exp

@@ -1,43 +1,15 @@
 #pragma once
 /// \file runner.hpp
-/// Single-experiment execution: one metatask, one heuristic, one system
-/// configuration -> one RunResult. The campaign layer builds on this.
+/// Single-experiment execution: one compiled scenario, one metatask, one
+/// heuristic -> one RunResult. The campaign layer builds on this.
 
 #include <string>
 
-#include "cas/system.hpp"
 #include "metrics/record.hpp"
-#include "platform/testbed.hpp"
-#include "scenario/spec.hpp"
+#include "scenario/generate.hpp"
 #include "workload/metatask.hpp"
 
 namespace casched::exp {
-
-/// Everything that defines an experiment except the heuristic under test.
-struct ExperimentSpec {
-  std::string name;
-  platform::Testbed testbed;
-  workload::MetataskConfig metatask;
-  cas::SystemConfig system;
-  /// Registry scenario this spec was materialized from ("" when hand-built).
-  std::string scenario;
-  /// Membership events replayed in every run of the experiment (hand-written
-  /// [churn] plus the [faults]-generated stream, one per seed).
-  std::vector<cas::ChurnEvent> churn;
-  /// How many of `churn`'s events the [faults] processes generated.
-  std::size_t generatedChurn = 0;
-  /// Resolved correlated-failure domains ([faults] rack/zone tagging).
-  std::vector<scenario::FaultDomainSpec> faultDomains;
-};
-
-/// Materializes a registry scenario into an ExperimentSpec: testbed, metatask
-/// config (arrival pattern and mix included), system parameters and churn
-/// timeline. Campaigns built on it re-derive per-metatask seeds as usual.
-ExperimentSpec specFromScenario(const std::string& scenarioName, std::uint64_t seed);
-
-/// Same, from an already-parsed spec (sweep variants, scenario files).
-ExperimentSpec specFromScenarioSpec(const scenario::ScenarioSpec& spec,
-                                    std::uint64_t seed);
 
 /// How fault tolerance is granted across heuristics in a campaign.
 /// kPaper is the paper's setup: NetSolve's MCT has its native re-submission
@@ -60,9 +32,12 @@ bool grantsFaultTolerance(FaultTolerancePolicy policy, const std::string& heuris
 bool resolveFaultTolerance(FaultTolerancePolicy policy, const std::string& heuristic,
                            bool scenarioDefault);
 
-/// Runs one heuristic on one concrete metatask. `noiseSeed` overrides the
-/// spec's system noise seed (replications vary it).
-metrics::RunResult runOne(const ExperimentSpec& spec, const workload::Metatask& metatask,
+/// Runs one heuristic on one concrete metatask of a compiled scenario
+/// (testbed, churn and mesh included). It is scenario::runScenario with the
+/// metatask, the fault-tolerance flag and the noise seed overridden
+/// (campaigns vary the metatask and, across replications, the noise seed).
+metrics::RunResult runOne(const scenario::CompiledScenario& spec,
+                          const workload::Metatask& metatask,
                           const std::string& heuristic, bool faultTolerance,
                           std::uint64_t noiseSeed);
 

@@ -63,7 +63,7 @@ SuiteScenarioResult runSuiteScenario(const scenario::ScenarioSpec& baseSpec,
   for (const scenario::SweepPoint& point : scenario::expandSweep(spec)) {
     SuiteVariant variant;
     variant.coordinates = point.coordinates;
-    variant.spec = specFromScenarioSpec(point.spec, options.seed);
+    variant.spec = scenario::compileScenario(point.spec, options.seed);
     variant.result = runCampaign(variant.spec, out.campaign);
     out.wallSeconds += variant.result.wallSeconds;
     out.simulatedEvents += variant.result.simulatedEvents;
@@ -71,7 +71,7 @@ SuiteScenarioResult runSuiteScenario(const scenario::ScenarioSpec& baseSpec,
   }
   CASCHED_CHECK(!out.variants.empty(), "sweep expansion produced no variants");
   out.metricsDelta = obs::Registry::global().snapshot().since(beforeRun);
-  const ExperimentSpec& base = out.variants.front().spec;
+  const scenario::CompiledScenario& base = out.variants.front().spec;
   out.servers = base.testbed.servers.size();
   out.churnEvents = base.churn.size();
   out.generatedChurn = base.generatedChurn;

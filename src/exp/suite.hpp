@@ -39,7 +39,7 @@ struct SuiteOptions {
 /// variant with no coordinates).
 struct SuiteVariant {
   std::vector<std::pair<std::string, std::string>> coordinates;
-  ExperimentSpec spec;
+  scenario::CompiledScenario spec;
   CampaignResult result;
 };
 

@@ -33,15 +33,18 @@ struct CompiledScenario {
   std::size_t generatedChurn = 0;
   /// Resolved correlated-failure domains ([faults] rack/zone tagging).
   std::vector<FaultDomainSpec> faultDomains;
-  /// Multi-agent deployment shape ([agents] section, validated). The
-  /// simulator runs the paper's single agent regardless; the live loopback
+  /// Multi-agent deployment shape ([agents] section, validated). With a
+  /// [mesh], `agents.count` is how many agents cas::GridSystem runs. Without
+  /// one the simulator runs the paper's single agent; only the live loopback
   /// harness deploys `agents.count` daemons and applies the agent-crash
   /// events.
   AgentsSpec agents;
   /// Agent-mesh shape ([mesh] section, validated): rack ownership, request
-  /// forwarding, work-stealing and topology. When enabled, runScenario runs
-  /// the multi-agent mesh simulator instead of the paper's single agent, and
-  /// the live harness deploys the same mesh over loopback TCP.
+  /// forwarding, work-stealing and topology. When enabled, every simulated
+  /// run of this scenario (runScenario and the campaign runner alike) is a
+  /// cas::GridSystem with one agent per partition, routed by
+  /// mesh::decideRoute; the live harness deploys the same mesh over loopback
+  /// TCP.
   MeshSpec mesh;
 };
 
@@ -51,7 +54,8 @@ workload::TaskType resolveTypeName(const std::string& name);
 
 CompiledScenario compileScenario(const ScenarioSpec& spec, std::uint64_t seed);
 
-/// Runs one heuristic on a compiled scenario (churn timeline included).
+/// Runs one heuristic on a compiled scenario (churn timeline and mesh
+/// included) through cas::runExperimentSystem.
 metrics::RunResult runScenario(const CompiledScenario& compiled,
                                const std::string& heuristic);
 

@@ -9,6 +9,7 @@
 
 #include "exp/campaign.hpp"
 #include "exp/tables.hpp"
+#include "scenario/registry.hpp"
 
 namespace casched::exp {
 namespace {
@@ -75,14 +76,16 @@ TEST(FaultTolerancePolicy, ParseAndNameRoundTrip) {
   EXPECT_THROW(parseFaultTolerancePolicy("sometimes"), util::Error);
 }
 
-ExperimentSpec smallSpec() {
-  ExperimentSpec spec;
+using scenario::CompiledScenario;
+
+CompiledScenario smallSpec() {
+  CompiledScenario spec;
   spec.name = "test";
   spec.testbed = platform::buildSet2();
-  spec.metatask.count = 60;
-  spec.metatask.meanInterarrival = 15.0;
-  spec.metatask.types = workload::wasteCpuFamily();
-  spec.metatask.seed = 99;
+  spec.metataskConfig.count = 60;
+  spec.metataskConfig.meanInterarrival = 15.0;
+  spec.metataskConfig.types = workload::wasteCpuFamily();
+  spec.metataskConfig.seed = 99;
   spec.system.cpuNoise = {0.05, 5.0};
   return spec;
 }
@@ -213,33 +216,39 @@ TEST(Tables, ServerDiagnosticsListServers) {
 /// The spec the pre-registry benches hand-built from bench_common.hpp
 /// constants (kMatmulLowRate = 30 etc.); kept here as the reference the
 /// paper/* registry entries must reproduce.
-ExperimentSpec legacyPaperSpec(platform::Testbed testbed,
-                               std::vector<workload::TaskType> types, double rate,
-                               std::uint64_t seed) {
-  ExperimentSpec spec;
+CompiledScenario legacyPaperSpec(platform::Testbed testbed,
+                                 std::vector<workload::TaskType> types, double rate,
+                                 std::uint64_t seed) {
+  CompiledScenario spec;
   spec.testbed = std::move(testbed);
-  spec.metatask.count = 500;
-  spec.metatask.meanInterarrival = rate;
-  spec.metatask.types = std::move(types);
-  spec.metatask.seed = seed;
+  spec.metataskConfig.count = 500;
+  spec.metataskConfig.meanInterarrival = rate;
+  spec.metataskConfig.types = std::move(types);
+  spec.metataskConfig.seed = seed;
   spec.system.reportPeriod = 30.0;
   spec.system.cpuNoise = {0.08, 5.0};
   spec.system.linkNoise = {0.10, 5.0};
   return spec;
 }
 
-void expectSameExperiment(const ExperimentSpec& legacy, const ExperimentSpec& ported) {
+CompiledScenario compiledEntry(const std::string& name, std::uint64_t seed) {
+  return scenario::compileScenario(scenario::findScenario(name), seed);
+}
+
+void expectSameExperiment(const CompiledScenario& legacy,
+                          const CompiledScenario& ported) {
   EXPECT_EQ(legacy.testbed.name, ported.testbed.name);
   ASSERT_EQ(legacy.testbed.servers.size(), ported.testbed.servers.size());
   for (std::size_t i = 0; i < legacy.testbed.servers.size(); ++i) {
     EXPECT_EQ(legacy.testbed.servers[i].name, ported.testbed.servers[i].name);
   }
-  EXPECT_EQ(legacy.metatask.count, ported.metatask.count);
-  EXPECT_DOUBLE_EQ(legacy.metatask.meanInterarrival, ported.metatask.meanInterarrival);
-  EXPECT_TRUE(ported.metatask.typeWeights.empty());
-  ASSERT_EQ(legacy.metatask.types.size(), ported.metatask.types.size());
-  for (std::size_t i = 0; i < legacy.metatask.types.size(); ++i) {
-    EXPECT_EQ(legacy.metatask.types[i].name, ported.metatask.types[i].name);
+  EXPECT_EQ(legacy.metataskConfig.count, ported.metataskConfig.count);
+  EXPECT_DOUBLE_EQ(legacy.metataskConfig.meanInterarrival,
+                   ported.metataskConfig.meanInterarrival);
+  EXPECT_TRUE(ported.metataskConfig.typeWeights.empty());
+  ASSERT_EQ(legacy.metataskConfig.types.size(), ported.metataskConfig.types.size());
+  for (std::size_t i = 0; i < legacy.metataskConfig.types.size(); ++i) {
+    EXPECT_EQ(legacy.metataskConfig.types[i].name, ported.metataskConfig.types[i].name);
   }
   EXPECT_DOUBLE_EQ(legacy.system.reportPeriod, ported.system.reportPeriod);
   EXPECT_DOUBLE_EQ(legacy.system.cpuNoise.amplitude, ported.system.cpuNoise.amplitude);
@@ -251,8 +260,8 @@ void expectSameExperiment(const ExperimentSpec& legacy, const ExperimentSpec& po
 
   // Strongest check: both specs generate bit-identical metatasks, so the
   // registry entry replays the exact workload the historical bench ran.
-  const workload::Metatask a = workload::generateMetatask(legacy.metatask);
-  const workload::Metatask b = workload::generateMetatask(ported.metatask);
+  const workload::Metatask a = workload::generateMetatask(legacy.metataskConfig);
+  const workload::Metatask b = workload::generateMetatask(ported.metataskConfig);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.tasks[i].arrival, b.tasks[i].arrival);
@@ -264,21 +273,21 @@ TEST(Runner, PaperRegistryEntriesReproduceTheLegacyBenchSpecs) {
   const std::uint64_t seed = 42;
   expectSameExperiment(
       legacyPaperSpec(platform::buildSet1(), workload::matmulFamily(), 30.0, seed),
-      specFromScenario("paper/table5_matmul_low", seed));
+      compiledEntry("paper/table5_matmul_low", seed));
   expectSameExperiment(
       legacyPaperSpec(platform::buildSet1(), workload::matmulFamily(), 21.0, seed),
-      specFromScenario("paper/table6_matmul_high", seed));
+      compiledEntry("paper/table6_matmul_high", seed));
   expectSameExperiment(
       legacyPaperSpec(platform::buildSet2(), workload::wasteCpuFamily(), 30.0, seed),
-      specFromScenario("paper/table7_wastecpu_low", seed));
+      compiledEntry("paper/table7_wastecpu_low", seed));
   expectSameExperiment(
       legacyPaperSpec(platform::buildSet2(), workload::wasteCpuFamily(), 18.0, seed),
-      specFromScenario("paper/table8_wastecpu_high", seed));
+      compiledEntry("paper/table8_wastecpu_high", seed));
 }
 
-TEST(Runner, SpecFromScenarioDrivesAWholeCampaign) {
-  ExperimentSpec spec = specFromScenario("churny-grid", 9);
-  EXPECT_EQ(spec.scenario, "churny-grid");
+TEST(Runner, CompiledScenarioDrivesAWholeCampaign) {
+  const CompiledScenario spec = compiledEntry("churny-grid", 9);
+  EXPECT_EQ(spec.name, "churny-grid");
   EXPECT_EQ(spec.testbed.servers.size(), 6u);
   EXPECT_FALSE(spec.churn.empty());
 
@@ -294,7 +303,7 @@ TEST(Runner, SpecFromScenarioDrivesAWholeCampaign) {
     EXPECT_GE(sample.churn.leaves, 1u) << h;
     EXPECT_GE(sample.churn.joins, 1u) << h;
   }
-  EXPECT_THROW(specFromScenario("no-such-scenario", 1), util::Error);
+  EXPECT_THROW(compiledEntry("no-such-scenario", 1), util::Error);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Agent-mesh subsystem: [mesh] parsing/validation, the shared router policy,
-// and the multi-agent mesh simulator (forwarding, hierarchy, work-stealing).
+// and mesh runs of the simulator - cas::GridSystem with one agent per
+// partition (forwarding, hierarchy, work-stealing).
 // The live-vs-sim count-agreement tests for the mesh registry entries live in
 // net_test.cpp next to the other loopback harness tests.
 
@@ -135,7 +136,7 @@ TEST(MeshScenario, ValidationRejectsBrokenMeshShapes) {
   EXPECT_THROW(compileScenario(replicated, 1), util::Error);
 }
 
-// --- mesh simulator ------------------------------------------------------
+// --- mesh runs of the simulator -------------------------------------------
 
 /// Names of the servers owned by `agentIndex` in the compiled scenario.
 std::set<std::string> rackServers(const CompiledScenario& compiled,

@@ -1,7 +1,8 @@
 // Tests of the suite layer: campaign-spec mapping, suite overrides, the
 // mean +- sd aggregation math against the raw rows, baseline pairing across
 // (metatask, replication), sweep-variant execution, and the JSON/CSV/table
-// output formats including the per-scenario throughput record.
+// output formats including the per-scenario throughput record, and that the
+// campaign path runs [mesh] scenarios as their mesh.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "util/error.hpp"
 
 #include "exp/suite.hpp"
+#include "scenario/generate.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 
@@ -198,7 +200,7 @@ TEST(Suite, RunsSweepVariantsAndLabelsThem) {
   ASSERT_EQ(s.variants.size(), 2u);
   EXPECT_EQ(s.variants[0].coordinates[0].second, "12");
   EXPECT_EQ(s.variants[1].coordinates[0].second, "6");
-  EXPECT_DOUBLE_EQ(s.variants[1].spec.metatask.meanInterarrival, 6.0);
+  EXPECT_DOUBLE_EQ(s.variants[1].spec.metataskConfig.meanInterarrival, 6.0);
 
   const std::string table = renderSuiteScenarioTable(s).render();
   EXPECT_NE(table.find("rate"), std::string::npos);
@@ -250,6 +252,58 @@ TEST(Suite, RunSuiteUsesTheRegistryAndEmitsFiles) {
   }
 
   EXPECT_THROW(runSuite({"no-such-scenario"}, options), util::Error);
+}
+
+// The suite driver runs a [mesh] scenario as its mesh, not as the paper's
+// single agent: campaigns and scenario::runScenario share one simulated
+// deployment.
+TEST(Suite, MeshScenariosRunTheirMesh) {
+  SuiteOptions options;
+  options.threads = 1;
+  options.taskCount = 60;
+  options.metatasks = 1;
+  options.replications = 1;
+  options.heuristics = {"msf"};
+  struct Expectation {
+    const char* scenario;
+    bool forwards;
+    bool steals;
+  };
+  for (const Expectation& e : {Expectation{"mesh/saturated_rescue", true, false},
+                               Expectation{"mesh/hierarchy_4agent", true, false},
+                               Expectation{"mesh/steal_tree", false, true}}) {
+    const SuiteScenarioResult r =
+        runSuiteScenario(scenario::findScenario(e.scenario), options);
+    const metrics::RunResult& run = r.variants.front().result.sampleRuns.at("msf");
+    if (e.forwards) {
+      EXPECT_GT(run.mesh.forwards, 0u) << e.scenario;
+    }
+    if (e.steals) {
+      EXPECT_GT(run.mesh.steals, 0u) << e.scenario;
+    }
+    EXPECT_EQ(run.lostCount(), 0u) << e.scenario;
+    EXPECT_EQ(run.tasks.size(), 60u) << e.scenario;
+  }
+}
+
+// With nothing overridden, the campaign runner's one run is runScenario's.
+TEST(Suite, RunOneWithoutOverridesIsRunScenario) {
+  for (const char* name : {"mesh/steal_tree", "churny-grid"}) {
+    scenario::ScenarioSpec spec = scenario::findScenario(name);
+    spec.workload.count = 60;
+    const scenario::CompiledScenario c = scenario::compileScenario(spec, 5);
+    const metrics::RunResult a = scenario::runScenario(c, "msf");
+    const metrics::RunResult b =
+        runOne(c, c.metatask, "msf", c.system.faultTolerance, c.system.noiseSeed);
+    ASSERT_EQ(a.tasks.size(), b.tasks.size()) << name;
+    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
+      EXPECT_EQ(a.tasks[i].server, b.tasks[i].server) << name << " task " << i;
+      EXPECT_EQ(a.tasks[i].completion, b.tasks[i].completion) << name << " task " << i;
+    }
+    EXPECT_EQ(a.simulatedEvents, b.simulatedEvents) << name;
+    EXPECT_EQ(a.mesh.steals, b.mesh.steals) << name;
+    EXPECT_EQ(a.churn.total(), b.churn.total()) << name;
+  }
 }
 
 }  // namespace
